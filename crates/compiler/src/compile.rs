@@ -397,7 +397,7 @@ impl Compiler {
                 &binding.bias,
                 self.quant.weights,
                 Some(&input_region),
-            )?;
+            );
             let wgt_base = map.alloc_raw(images.weights.len() as u64);
             let bias_base = map.alloc_raw(images.bias.len().max(1) as u64);
             let wgt_words = images.weights.len() as u64;

@@ -78,6 +78,8 @@ impl TransformedWeights {
         let pt = cfg.pt();
         let mut data = vec![0.0; blocks_r * blocks_s * pt * pt * shape.k * shape.c];
         let mut g_sub = vec![0.0; r * r];
+        let mut u = vec![0.0; pt * pt];
+        let mut t = Vec::new();
         for br in 0..blocks_r {
             for bs in 0..blocks_s {
                 for k in 0..shape.k {
@@ -94,12 +96,11 @@ impl TransformedWeights {
                                 };
                             }
                         }
-                        let u = transform::transform_kernel(cfg, &g_sub);
-                        #[allow(clippy::needless_range_loop)]
-                        for e in 0..pt * pt {
+                        transform::transform_kernel_into(cfg, &g_sub, &mut u, &mut t);
+                        for (e, &v) in u.iter().enumerate() {
                             let idx =
                                 (((br * blocks_s + bs) * pt * pt + e) * shape.k + k) * shape.c + c;
-                            data[idx] = u[e];
+                            data[idx] = v;
                         }
                     }
                 }

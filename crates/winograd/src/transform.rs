@@ -341,6 +341,21 @@ pub fn transform_kernel(cfg: TileConfig, g: &[f64]) -> Vec<f64> {
     sandwich(cfg.g(), pt, r, g)
 }
 
+/// Allocation-free [`transform_kernel`]: writes the `PT × PT` result into
+/// `out`; `t` is caller-owned scratch reused across calls (the offline
+/// weight transform calls this once per `(k, c)` pair and block). Same
+/// [`sandwich_into`] as [`transform_kernel`], so the result is
+/// bit-identical.
+///
+/// # Panics
+/// Panics in debug builds if `g.len() != 9` or `out.len() != PT²`.
+#[inline]
+pub fn transform_kernel_into(cfg: TileConfig, g: &[f64], out: &mut [f64], t: &mut Vec<f64>) {
+    let r = cfg.r();
+    debug_assert_eq!(g.len(), r * r);
+    sandwich_into(cfg.g(), cfg.pt(), r, g, out, t);
+}
+
 /// Output transform `Y = Aᵀ y A` for one transformed-domain `PT × PT`
 /// accumulator tile, producing the `m × m` spatial output tile.
 ///
@@ -499,6 +514,32 @@ mod tests {
                 transform_output_tile_into(cfg, &d, &mut oa, &mut tv);
                 transform_output_tile_buf(cfg, &d, &mut ob, &mut tb);
                 assert!(oa.iter().zip(&ob).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_transform_into_matches_transform_kernel_bit_for_bit() {
+        let mut x = 0.7f64;
+        let mut next = move || {
+            x = (x * 733.0 + 0.29) % 1.0;
+            x - 0.5
+        };
+        for cfg in [TileConfig::F2x2, TileConfig::F4x4] {
+            let pt = cfg.pt();
+            let mut out = vec![0.0; pt * pt];
+            let mut t = Vec::new();
+            for i in 0..32 {
+                let mut g: Vec<f64> = (0..9).map(|_| next()).collect();
+                if i % 4 == 0 {
+                    g[i % 9] = -0.0;
+                }
+                transform_kernel_into(cfg, &g, &mut out, &mut t);
+                let want = transform_kernel(cfg, &g);
+                assert!(out
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
         }
     }

@@ -11,6 +11,9 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
+echo "==> perfbench unit tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
